@@ -24,7 +24,6 @@ func TestAdaptiveScheme(t *testing.T) {
 	}
 	mk := func() *Machine {
 		cfg := smallConfig(4, ModelOoO)
-		cfg.MemSize = 64 << 20
 		cfg.MaxCycles = 100_000_000
 		m, err := NewMachine(prog, cfg)
 		if err != nil {

@@ -49,7 +49,6 @@ func TestBatchedSteppingDeterminism(t *testing.T) {
 		batchDisabled = disable
 		defer func() { batchDisabled = false }()
 		cfg := smallConfig(4, ModelOoO)
-		cfg.MemSize = 64 << 20
 		cfg.MaxCycles = 200_000_000
 		m, err := NewMachine(prog, cfg)
 		if err != nil {

@@ -183,7 +183,6 @@ func TestFusedDeterminism(t *testing.T) {
 		t.Run(fmt.Sprintf("model%d", model), func(t *testing.T) {
 			mk := func() *Machine {
 				cfg := smallConfig(4, model)
-				cfg.MemSize = 64 << 20
 				cfg.MaxCycles = 200_000_000
 				m, err := NewMachine(prog, cfg)
 				if err != nil {

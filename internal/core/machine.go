@@ -35,8 +35,10 @@ type Config struct {
 	Model      CoreModel
 	CPU        cpu.Config
 	Cache      cache.Config
-	MemSize    uint64
-	StackSize  uint64
+	// MemSize overrides the functional memory size; 0 sizes it from the
+	// program (loader.Load).
+	MemSize   uint64
+	StackSize uint64
 	// MaxCycles aborts a runaway simulation (0 = a large default).
 	MaxCycles int64
 	// RingCap sizes the InQ/OutQ rings.
@@ -105,9 +107,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.CPU.ROBSize == 0 {
 		c.CPU = cpu.DefaultConfig()
-	}
-	if c.MemSize == 0 {
-		c.MemSize = loader.DefaultMemSize
 	}
 	if c.StackSize == 0 {
 		c.StackSize = loader.DefaultStackSize
@@ -370,6 +369,7 @@ func NewMachine(prog *asm.Program, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg.MemSize = img.Mem.Size() // report the size the run uses, derived or not
 	l2, err := cache.NewL2System(cfg.Cache)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

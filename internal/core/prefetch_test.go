@@ -25,7 +25,6 @@ func TestPrefetcherAblation(t *testing.T) {
 	}
 	run := func(prefetch bool) *Result {
 		cfg := smallConfig(4, ModelOoO)
-		cfg.MemSize = 64 << 20
 		cfg.MaxCycles = 500_000_000
 		cfg.CPU = cpu.DefaultConfig()
 		cfg.CPU.Prefetch = prefetch

@@ -27,7 +27,6 @@ func TestSnoopBusProtocol(t *testing.T) {
 	}
 	mk := func(p cache.Protocol) *Machine {
 		cfg := smallConfig(4, ModelOoO)
-		cfg.MemSize = 64 << 20
 		cfg.MaxCycles = 200_000_000
 		cfg.Cache.Protocol = p
 		m, err := NewMachine(prog, cfg)
@@ -79,7 +78,6 @@ func TestSixteenCoreTarget(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallConfig(16, ModelOoO)
-	cfg.MemSize = 64 << 20
 	cfg.MaxCycles = 500_000_000
 	m, err := NewMachine(prog, cfg)
 	if err != nil {

@@ -24,7 +24,6 @@ import (
 func remoteMachine(t *testing.T, prog *asm.Program, w *workloads.Workload, cores, shards int) *Machine {
 	t.Helper()
 	cfg := smallConfig(cores, ModelOoO)
-	cfg.MemSize = 64 << 20
 	cfg.MaxCycles = 200_000_000
 	cfg.RemoteShards = shards
 	m, err := NewMachine(prog, cfg)

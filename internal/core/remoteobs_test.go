@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -193,8 +196,12 @@ func TestRemoteBundleOnAbandon(t *testing.T) {
 // TestBundleOnLocalFailure: the bundle hook must cover the local drivers
 // too — a contained core panic under the parallel driver writes one,
 // and a second run in the same directory gets its own timestamped dir.
+// Its config.json reports the memory size the run used, here derived
+// from the program.
 func TestBundleOnLocalFailure(t *testing.T) {
-	m := mustMachine(t, longProg, smallConfig(2, ModelOoO))
+	cfg := smallConfig(2, ModelOoO)
+	cfg.MemSize = 0
+	m := mustMachine(t, longProg, cfg)
 	m.EnableMetrics(metrics.NewRegistry())
 	dir := t.TempDir()
 	m.SetBundleDir(dir)
@@ -226,6 +233,17 @@ func TestBundleOnLocalFailure(t *testing.T) {
 	}
 	if names["recovery.json"] {
 		t.Error("local bundle must not carry the remote recovery artifact")
+	}
+	raw, err := os.ReadFile(filepath.Join(path, "config.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got Config
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if size := m.Image().Mem.Size(); got.MemSize != size || size == 0 {
+		t.Errorf("config.json MemSize = %#x, image size %#x", got.MemSize, size)
 	}
 }
 

@@ -26,7 +26,6 @@ func TestSchemesOcean(t *testing.T) {
 	}
 	mk := func() *Machine {
 		cfg := smallConfig(4, ModelOoO)
-		cfg.MemSize = 64 << 20
 		cfg.MaxCycles = 200_000_000
 		m, err := NewMachine(prog, cfg)
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 func shardedMachine(t *testing.T, prog *asm.Program, w *workloads.Workload, cores, shards int) *Machine {
 	t.Helper()
 	cfg := smallConfig(cores, ModelOoO)
-	cfg.MemSize = 64 << 20
 	cfg.MaxCycles = 200_000_000
 	cfg.ManagerShards = shards
 	m, err := NewMachine(prog, cfg)

@@ -1,10 +1,12 @@
-package loader
+package loader_test
 
 import (
 	"testing"
 
 	"slacksim/internal/asm"
 	"slacksim/internal/isa"
+	"slacksim/internal/loader"
+	"slacksim/internal/sysemu"
 )
 
 func testProg(t *testing.T) *asm.Program {
@@ -25,7 +27,7 @@ x: .dword 0x1122334455667788
 
 func TestLoadLayout(t *testing.T) {
 	prog := testProg(t)
-	im, err := Load(prog, Config{MemSize: 8 << 20, StackSize: 64 << 10, NumCores: 4})
+	im, err := loader.Load(prog, loader.Config{MemSize: 8 << 20, StackSize: 64 << 10, NumCores: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func TestLoadLayout(t *testing.T) {
 
 func TestStacksDisjointAndAligned(t *testing.T) {
 	prog := testProg(t)
-	im, err := Load(prog, Config{MemSize: 8 << 20, StackSize: 64 << 10, NumCores: 8})
+	im, err := loader.Load(prog, loader.Config{MemSize: 8 << 20, StackSize: 64 << 10, NumCores: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,23 +84,23 @@ func TestStacksDisjointAndAligned(t *testing.T) {
 
 func TestLoadErrors(t *testing.T) {
 	prog := testProg(t)
-	if _, err := Load(prog, Config{NumCores: 0}); err == nil {
+	if _, err := loader.Load(prog, loader.Config{NumCores: 0}); err == nil {
 		t.Error("zero cores accepted")
 	}
-	if _, err := Load(prog, Config{MemSize: 1 << 16, StackSize: 1 << 20, NumCores: 8}); err == nil {
+	if _, err := loader.Load(prog, loader.Config{MemSize: 1 << 16, StackSize: 1 << 20, NumCores: 8}); err == nil {
 		t.Error("stacks larger than memory accepted")
 	}
 	bad, err := asm.Assemble("main:\n nop\n", asm.Options{TextBase: 0x100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(bad, Config{NumCores: 1}); err == nil {
+	if _, err := loader.Load(bad, loader.Config{NumCores: 1}); err == nil {
 		t.Error("text inside the null guard accepted")
 	}
 }
 
 func TestSymbolLookupError(t *testing.T) {
-	im, err := Load(testProg(t), Config{NumCores: 1})
+	im, err := loader.Load(testProg(t), loader.Config{NumCores: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +110,7 @@ func TestSymbolLookupError(t *testing.T) {
 }
 
 func TestStackTopPanicsOutOfRange(t *testing.T) {
-	im, err := Load(testProg(t), Config{NumCores: 2})
+	im, err := loader.Load(testProg(t), loader.Config{NumCores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,4 +120,83 @@ func TestStackTopPanicsOutOfRange(t *testing.T) {
 		}
 	}()
 	im.StackTop(2)
+}
+
+// bigDataProg has a data section that ends off both page and stack-size
+// alignment, so the derived size's rounding is exercised.
+func bigDataProg(t *testing.T) *asm.Program {
+	t.Helper()
+	p, err := asm.Assemble(`
+main:
+    syscall 0
+.data
+.align 8
+buf: .space 3000001
+`, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+func TestDerivedMemSize(t *testing.T) {
+	for _, prog := range []*asm.Program{testProg(t), bigDataProg(t)} {
+		for _, cores := range []int{1, 8} {
+			im, err := loader.Load(prog, loader.Config{NumCores: cores})
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := im.Mem.Size()
+			if size%loader.DefaultStackSize != 0 {
+				t.Errorf("data end %#x, %d cores: size %#x not a stack-size multiple", prog.DataEnd(), cores, size)
+			}
+			if min := prog.DataEnd() + loader.DefaultHeapSize + uint64(cores)*loader.DefaultStackSize; size < min {
+				t.Errorf("data end %#x, %d cores: size %#x < %#x", prog.DataEnd(), cores, size, min)
+			}
+			if im.HeapLimit != im.HeapStart+loader.DefaultHeapSize {
+				t.Errorf("heap [%#x, %#x) is not DefaultHeapSize long", im.HeapStart, im.HeapLimit)
+			}
+			if low := im.StackTop(cores-1) - im.StackSize + 16; low < im.HeapLimit {
+				t.Errorf("lowest stack %#x dips into the heap (limit %#x)", low, im.HeapLimit)
+			}
+			// Stack addresses keep the low bits (cache set, L2 bank) they
+			// had in the flat 256 MiB layout, where core c's top was
+			// 256 MiB - c*StackSize - 16 (TestExplicitMemSizeHonoured).
+			for c := 0; c < cores; c++ {
+				old := uint64(256<<20) - uint64(c)*im.StackSize - 16
+				if got, want := im.StackTop(c)%im.StackSize, old%im.StackSize; got != want {
+					t.Errorf("core %d stack top low bits %#x, 256 MiB layout has %#x", c, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestExplicitMemSizeHonoured(t *testing.T) {
+	im, err := loader.Load(testProg(t), loader.Config{MemSize: 256 << 20, NumCores: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if im.Mem.Size() != 256<<20 {
+		t.Errorf("size %#x, want %#x", im.Mem.Size(), 256<<20)
+	}
+	if im.StackTop(1) != 256<<20-loader.DefaultStackSize-16 || im.HeapLimit != 256<<20-2*loader.DefaultStackSize {
+		t.Errorf("core 1 stack top %#x, heap limit %#x", im.StackTop(1), im.HeapLimit)
+	}
+}
+
+// TestDerivedHeapSbrk: in a derived image sbrk can take exactly
+// DefaultHeapSize bytes; the next allocation fails with -1.
+func TestDerivedHeapSbrk(t *testing.T) {
+	im, err := loader.Load(bigDataProg(t), loader.Config{NumCores: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sysemu.NewKernel(sysemu.KernelImage(im), 4, 4)
+	if r := k.Syscall(0, 1, sysemu.SysSbrk, [4]int64{loader.DefaultHeapSize}); r.Ret != int64(im.HeapStart) {
+		t.Fatalf("sbrk(DefaultHeapSize) = %#x, want heap start %#x", r.Ret, im.HeapStart)
+	}
+	if r := k.Syscall(0, 2, sysemu.SysSbrk, [4]int64{8}); r.Ret != -1 {
+		t.Fatalf("sbrk past the heap limit = %#x, want -1", r.Ret)
+	}
 }

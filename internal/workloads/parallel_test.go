@@ -11,18 +11,24 @@ import (
 
 func machineFor(t *testing.T, w *Workload, threads, scale int) *core.Machine {
 	t.Helper()
-	prog, err := asm.Assemble(w.Source(scale), asm.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.NewMachine(prog, core.Config{
+	return machineWith(t, w, core.Config{
 		NumCores:   threads,
 		NumThreads: threads,
 		CPU:        cpu.DefaultConfig(),
 		Cache:      cache.DefaultConfig(threads),
-		MemSize:    64 << 20,
 		MaxCycles:  500_000_000,
-	})
+	}, scale)
+}
+
+// machineWith assembles w at the given scale, loads it into a machine
+// built from cfg and initialises its inputs.
+func machineWith(t *testing.T, w *Workload, cfg core.Config, scale int) *core.Machine {
+	t.Helper()
+	prog, err := asm.Assemble(w.Source(scale), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.NewMachine(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

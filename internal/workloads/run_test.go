@@ -27,7 +27,6 @@ func runWorkload(t *testing.T, name string, threads int, model core.CoreModel, s
 		Model:      model,
 		CPU:        cpu.DefaultConfig(),
 		Cache:      cache.DefaultConfig(threads),
-		MemSize:    64 << 20,
 		MaxCycles:  500_000_000,
 	}
 	m, err := core.NewMachine(prog, cfg)
